@@ -27,8 +27,6 @@ Step phase order (the staged semantics of paper §4.1):
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.params import SimCovParams
@@ -121,107 +119,59 @@ def tcell_age(block: VoxelBlock, region: tuple[slice, ...]) -> None:
 
 
 def extravasation_attempts(
-    params: SimCovParams, rng: VoxelRNG, step: int, pool: float
+    params: SimCovParams, rng: VoxelRNG, step: int, pool
 ) -> dict[str, np.ndarray]:
     """The global, decomposition-independent attempt schedule for one step.
 
     Every implementation computes the identical schedule and applies the
     attempts that land in voxels it owns.  Returns arrays indexed by
-    attempt: target gid, acceptance roll, and tissue lifespan.
+    attempt: target gid, acceptance roll, and tissue lifespan, plus each
+    attempt's ``member`` and the per-member ``counts``.
+
+    ``pool`` is one run's vascular pool or an ensemble's per-member pool
+    vector (with a batched ``rng``).  The attempts are grouped by member
+    in member order, and member ``b``'s ``counts[b]`` attempts are bitwise
+    identical to its solo schedule: they are drawn with that member's
+    seed and numbered from 0.
     """
-    x = pool * params.extravasate_fraction
-    n = int(math.floor(x))
-    frac = x - n
-    if rng.uniform(Stream.POOL_ROUND, step, np.array([0]))[0] < frac:
-        n += 1
-    idx = np.arange(n, dtype=np.int64)
-    return {
-        "gid": rng.randint(Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels),
-        "accept_u": rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx),
-        "life": np.maximum(
-            1, rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, params.tcell_tissue_period)
-        ),
-    }
-
-
-def ensemble_extravasation_attempts(
-    params, rng, step: int, pools: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Every member's attempt schedule in one batched set of draws.
-
-    Returns one *flat* dict: concatenated ``gid``/``accept_u``/``life``
-    arrays plus the per-member ``counts`` and each attempt's ``member``
-    index.  Slice ``b`` (see :func:`member_attempts`) is bitwise identical
-    to ``extravasation_attempts(params.member(b), VoxelRNG(seeds[b]),
-    step, float(pools[b]))`` — the pool-round uniforms come from one
-    batched hash, and the (ragged) per-attempt draws from one gathered
-    member-keyed hash, replacing ``4 * B`` tiny RNG calls per step with 4.
-    """
-    pools = np.asarray(pools, dtype=np.float64)
-    n_members = pools.size
+    pools = np.atleast_1d(np.asarray(pool, dtype=np.float64))
+    host = getattr(rng, "xp", NUMPY).asnumpy
     frac_param = params.extravasate_fraction
     if isinstance(frac_param, np.ndarray):
         frac_param = frac_param.reshape(-1)
     x = pools * frac_param
     n = np.floor(x)
-    frac = x - n
-    u = rng.xp.asnumpy(
+    u = host(
         rng.uniform(
-            Stream.POOL_ROUND, step, np.zeros((n_members, 1), dtype=np.int64)
+            Stream.POOL_ROUND, step, np.zeros((pools.size, 1), dtype=np.int64)
         )
-    ).reshape(n_members)
-    counts = n.astype(np.int64) + (u < frac)
-    total = int(counts.sum())
-    if total == 0:
-        return {
-            "counts": counts,
-            "member": np.empty(0, dtype=np.int64),
-            "gid": np.empty(0, dtype=np.int64),
-            "accept_u": np.empty(0, dtype=np.float64),
-            "life": np.empty(0, dtype=np.int64),
-        }
-    member = np.repeat(np.arange(n_members, dtype=np.int64), counts)
+    ).reshape(pools.size)
+    counts = n.astype(np.int64) + (u < x - n)
+    member = np.repeat(np.arange(pools.size, dtype=np.int64), counts)
     # Within-member attempt indices 0..counts[b]-1, without a Python loop:
     # subtract each attempt's member-start offset from the global arange.
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    idx = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    starts = np.cumsum(counts) - counts
+    idx = np.arange(member.size, dtype=np.int64) - np.repeat(starts, counts)
     mu = params.tcell_tissue_period
     if isinstance(mu, np.ndarray):
         mu = mu.reshape(-1)[member]
-    xp = rng.xp
-    gid = xp.asnumpy(
-        rng.randint(
-            Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels, member=member
-        )
-    )
-    accept_u = xp.asnumpy(
-        rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx, member=member)
-    )
-    life = np.maximum(
-        1,
-        xp.asnumpy(
-            rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, mu, member=member)
-        ),
-    )
     return {
         "counts": counts,
         "member": member,
-        "gid": gid,
-        "accept_u": accept_u,
-        "life": life,
-    }
-
-
-def member_attempts(attempts: dict[str, np.ndarray], b: int) -> dict[str, np.ndarray]:
-    """Member ``b``'s slice of a flat ensemble attempt schedule, in the
-    solo :func:`extravasation_attempts` layout."""
-    counts = attempts["counts"]
-    lo = int(counts[:b].sum())
-    hi = lo + int(counts[b])
-    return {
-        "gid": attempts["gid"][lo:hi],
-        "accept_u": attempts["accept_u"][lo:hi],
-        "life": attempts["life"][lo:hi],
+        "gid": host(
+            rng.randint(
+                Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels,
+                member=member,
+            )
+        ),
+        "accept_u": host(
+            rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx, member=member)
+        ),
+        "life": np.maximum(
+            1,
+            host(rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, mu,
+                             member=member)),
+        ),
     }
 
 
@@ -230,14 +180,18 @@ def apply_extravasation(
     block: VoxelBlock,
     attempts: dict[str, np.ndarray],
     region: tuple[slice, ...] | None = None,
-) -> int:
+):
     """Apply the attempts landing in this block's owned region.
 
     A T cell enters at the chosen voxel with probability equal to the local
     inflammatory-signal concentration (paper §2.2), provided the voxel holds
     no T cell yet.  Attempts are processed in attempt order so that two
-    attempts on one voxel resolve identically everywhere.  Returns the
-    number of successful entries (for the pool debit).
+    attempts on one voxel resolve identically everywhere: chemokine is
+    read-only here, so the only coupling between attempts is repeats on
+    one voxel, and the *first* accepting attempt wins (later ones find the
+    voxel occupied).  Returns the number of successful entries (for the
+    pool debit): an ``int`` for a solo block, a per-member vector for a
+    batched block, whose attempts go to their ``member``.
 
     ``region`` (default: the whole interior) restricts the search to an
     active sub-box.  That is bitwise-equivalent provided the region covers
@@ -245,104 +199,55 @@ def apply_extravasation(
     would land where the signal is sub-threshold and be rejected anyway,
     and no randomness is consumed here.
     """
+    lead = block.epi_state.ndim - block.spec.ndim
     gids = attempts["gid"]
-    if gids.size == 0:
-        return 0
-    sl = block.interior if region is None else region
-    gid_interior = block.gid[sl]
-    shape = gid_interior.shape
-    # Map attempt gids to owned-local flat positions (interior is a slab of
-    # consecutive-per-row gids; a sorted lookup handles any block shape).
-    flat_gid = gid_interior.reshape(-1)  # copy is fine: reads only
-    order = np.argsort(flat_gid, kind="stable")
-    pos = np.searchsorted(flat_gid, gids, sorter=order)
-    pos = np.clip(pos, 0, flat_gid.size - 1)
-    local_flat = order[pos]
-    mine = flat_gid[local_flat] == gids
-    successes = 0
-    tcell = block.tcell[sl]
-    chem = block.chemokine[sl]
-    tt = block.tcell_tissue_time[sl]
-    bt = block.tcell_bound_time[sl]
-    for i in np.nonzero(mine)[0]:
-        c_idx = np.unravel_index(int(local_flat[i]), shape)
-        if tcell[c_idx] != 0:
-            continue
-        c = chem[c_idx]
-        if c < params.min_chemokine:
-            continue
-        if attempts["accept_u"][i] < c:
-            tcell[c_idx] = 1
-            tt[c_idx] = attempts["life"][i]
-            bt[c_idx] = 0
-            successes += 1
-    return successes
-
-
-def ensemble_apply_extravasation(
-    params, block, attempts: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Apply every member's attempts in one vectorized pass (whole interior).
-
-    ``attempts`` is the flat schedule from
-    :func:`ensemble_extravasation_attempts`.  Bitwise-equivalent to looping
-    :func:`apply_extravasation` over member views: chemokine is read-only
-    here, so the only cross-attempt coupling is repeats on one
-    (member, voxel) — resolved to the *first* accepting attempt in attempt
-    order, exactly the sequential rule.  Returns the per-member success
-    counts (the pool debits).
-    """
-    n_members = block.batch
-    gids = attempts["gid"]
-    out = np.zeros(n_members, dtype=np.int64)
-    if gids.size == 0:
-        return out
-    if block.xp.name != "numpy":  # pragma: no cover - device fallback
-        for b in range(n_members):
+    if lead and block.xp.name != "numpy":  # pragma: no cover - device fallback
+        out = np.zeros(block.batch, dtype=np.int64)
+        stops = np.cumsum(attempts["counts"])
+        for b in range(block.batch):
+            part = slice(int(stops[b] - attempts["counts"][b]), int(stops[b]))
             out[b] = apply_extravasation(
                 params.member(b), block.member_view(b),
-                member_attempts(attempts, b),
+                {k: attempts[k][part] for k in ("gid", "accept_u", "life")},
             )
         return out
-    accept_u = attempts["accept_u"]
-    life = attempts["life"]
-    member = attempts["member"]
-
-    g = block.ghost
-    spatial_sl = tuple(slice(g, s - g) for s in block.spatial_shape)
-    gid_interior = block.gid_spatial[spatial_sl]
-    shape = gid_interior.shape
+    n_members = block.batch if lead else 1
+    if gids.size == 0:
+        return np.zeros(n_members, dtype=np.int64) if lead else 0
+    member = attempts["member"] if lead else np.zeros(gids.size, np.int64)
+    sl = block.interior if region is None else region
+    # Map attempt gids to owned-local flat positions (interior is a slab of
+    # consecutive-per-row gids; a sorted lookup handles any block shape).
+    gid_interior = block.gid[(0,) * lead + sl[lead:]]
     flat_gid = gid_interior.reshape(-1)
     order = np.argsort(flat_gid, kind="stable")
     pos = np.clip(np.searchsorted(flat_gid, gids, sorter=order), 0,
                   flat_gid.size - 1)
     local_flat = order[pos]
     mine = flat_gid[local_flat] == gids
-    coords = np.unravel_index(local_flat, shape)
-    idx = (member,) + coords
+    coords = np.unravel_index(local_flat, gid_interior.shape)
+    idx = (member,) * lead + coords
 
-    sl = block.interior
     tcell = block.tcell[sl]
-    chem_v = block.chemokine[sl][idx]
+    chem = block.chemokine[sl][idx]
     mc = params.min_chemokine
     if isinstance(mc, np.ndarray):
         mc = mc.reshape(-1)[member]
     eligible = (
-        mine & (tcell[idx] == 0) & (chem_v >= mc) & (accept_u < chem_v)
+        mine & (tcell[idx] == 0) & (chem >= mc) & (attempts["accept_u"] < chem)
     )
     ei = np.nonzero(eligible)[0]
-    if ei.size == 0:
-        return out
-    # First accepting attempt per (member, voxel) wins; later ones would
-    # find the voxel occupied (np.unique returns first-occurrence indices).
+    # First accepting attempt per (member, voxel) wins (np.unique returns
+    # first-occurrence indices).
     key = member[ei] * np.int64(flat_gid.size) + local_flat[ei]
     _, first = np.unique(key, return_index=True)
     win = ei[first]
-    widx = (member[win],) + tuple(c[win] for c in coords)
+    widx = tuple(i[win] for i in idx)
     tcell[widx] = 1
-    block.tcell_tissue_time[sl][widx] = life[win]
+    block.tcell_tissue_time[sl][widx] = attempts["life"][win]
     block.tcell_bound_time[sl][widx] = 0
-    return np.bincount(member[win], minlength=n_members).astype(np.int64)
+    counts = np.bincount(member[win], minlength=n_members).astype(np.int64)
+    return counts if lead else int(counts[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.engine.backend import ExecutionBackend
 from repro.engine.driver import EngineDriver
 from repro.engine.engine import StepContext, StepEngine
 from repro.engine.ensemble import (
-    EnsembleActivityGate,
     EnsembleBackend,
     EnsembleEngine,
     EnsembleMemberView,
@@ -45,7 +44,6 @@ __all__ = [
     "REQUIRED_PHASES",
     "ActivityGate",
     "EngineDriver",
-    "EnsembleActivityGate",
     "EnsembleBackend",
     "EnsembleEngine",
     "EnsembleMemberView",

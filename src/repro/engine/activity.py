@@ -23,6 +23,11 @@ activity mask are provably no-ops, and all randomness is keyed by global
 voxel id (counter-based, stateless per draw), so gated runs are **bitwise
 identical** to ungated runs — the contract enforced by
 tests/properties/test_gating_equivalence.py and the golden traces.
+
+A batched block (an ensemble's leading batch axis) is gated by the same
+code: each member's mask is swept exactly as its solo run's would be, and
+the region is the bounding box of their union, with every batch axis kept
+whole as an explicit ``slice(0, B)``.
 """
 
 from __future__ import annotations
@@ -39,10 +44,13 @@ class ActivityGate:
     Parameters
     ----------
     block:
-        The ghost-padded block whose activity is tracked.
+        The ghost-padded block whose activity is tracked.  Axes in front
+        of the grid's spatial axes (``block.epi_state.ndim -
+        block.spec.ndim`` of them) are batch axes.
     min_chemokine:
         Signal threshold of the activity definition (sub-threshold signal
-        is zeroed at commit time, so it cannot seed future activity).
+        is zeroed at commit time, so it cannot seed future activity); a
+        per-member array broadcasts against a batched block.
     sweep_period:
         Steps between sweeps.  ``1`` selects refresh mode (every-step
         mask recompute, one-voxel dilation); ``> 1`` selects periodic
@@ -72,9 +80,10 @@ class ActivityGate:
         enabled: bool = True,
     ):
         self.block = block
-        self.min_chemokine = float(min_chemokine)
+        self.min_chemokine = min_chemokine
         self.enabled = bool(enabled)
         owned = block.owned.shape
+        batch = block.epi_state.shape[: block.epi_state.ndim - block.spec.ndim]
         if tile_shape is None:
             tile_shape = tuple(min(8, s) for s in owned)
         else:
@@ -93,12 +102,18 @@ class ActivityGate:
                 f"[1, {max_period}] for tiles {tile_shape}"
             )
         self.sweep_period = sweep_period
+        g = block.ghost
+        #: The whole interior, batch axes as explicit slices (consumers
+        #: such as ``IntentArrays.clear`` read every slice's ``start``).
+        self._full = tuple(slice(0, n) for n in batch) + tuple(
+            slice(g, g + s) for s in owned
+        )
         #: Everything starts active (like the GPU tile grid): correct for
         #: fresh runs *and* for checkpoints resumed mid-run, where the
         #: first due sweep re-derives the true active set.
-        self._mask = np.ones(owned, dtype=bool)
-        self._count = int(np.prod(owned))
-        self._region: tuple[slice, ...] | None = block.interior
+        self._mask = np.ones(batch + owned, dtype=bool)
+        self._count = self._mask.size
+        self._region: tuple[slice, ...] | None = self._full
 
     # -- the sweep rule -------------------------------------------------------
 
@@ -113,40 +128,42 @@ class ActivityGate:
 
         Refresh mode scans the padded activity mask and dilates by one
         voxel; periodic mode runs the §3.2 tile sweep (tile-granular raw
-        activation + one-tile dilation + boundary pinning).  Returns the
-        number of voxels scanned (the sweep kernel's cost).
+        activation + one-tile dilation + boundary pinning), per member of
+        a batched block.  Returns the number of voxels scanned (the sweep
+        kernel's cost).
         """
         if not self.enabled:
             return 0
-        raw = self.block.activity_mask_padded(self.min_chemokine)
-        g = self.block.ghost
+        block = self.block
+        raw = block.xp.asnumpy(block.activity_mask_padded(self.min_chemokine))
         if self._use_tiles:
             self.tiles.sweep(raw, padded=True)
             self._mask = self.tiles.voxel_mask()
         else:
-            dilated = _dilate(raw)
-            crop = tuple(slice(g, s - g) for s in dilated.shape)
-            self._mask = dilated[crop]
+            ndim = block.spec.ndim
+            self._mask = _dilate(raw, ndim)[(...,) + self._full[-ndim:]]
         self._count = int(self._mask.sum())
         self._region = self._bbox()
-        return int(np.prod(self.block.owned.shape))
-
-    #: Alias used by every-step callers (the historical ActiveRegion API).
-    refresh = sweep
+        return self._mask.size
 
     @property
     def _use_tiles(self) -> bool:
         return self.sweep_period > 1 or bool(self.tiles.pin_sides.any())
 
     def _bbox(self) -> tuple[slice, ...] | None:
-        """Padded-array slices of the active bounding box (None if idle)."""
-        if not self._mask.any():
+        """Padded-array slices of the active bounding box (None if idle);
+        over the union of the members of a batched block."""
+        mask = self._mask
+        lead = mask.ndim - self.block.spec.ndim
+        if lead:
+            mask = mask.any(axis=tuple(range(lead)))
+        if not mask.any():
             return None
         g = self.block.ghost
-        sls = []
-        for axis in range(self._mask.ndim):
-            other = tuple(a for a in range(self._mask.ndim) if a != axis)
-            proj = self._mask.any(axis=other)
+        sls = list(self._full[:lead])
+        for axis in range(mask.ndim):
+            other = tuple(a for a in range(mask.ndim) if a != axis)
+            proj = mask.any(axis=other)
             idx = np.nonzero(proj)[0]
             sls.append(slice(int(idx[0]) + g, int(idx[-1]) + 1 + g))
         return tuple(sls)
@@ -159,14 +176,15 @@ class ActivityGate:
         The full interior when gating is disabled or no sweep ran yet.
         """
         if not self.enabled:
-            return self.block.interior
+            return self._full
         return self._region
 
     def region_box(self):
         """The current region as a global-coordinate :class:`Box`, or None
         when idle — the value a dist worker publishes into the control
         segment's strip-liveness row (every kernel's writes this step are
-        confined to this box, so peers may skip pulls it cannot touch)."""
+        confined to this box, so peers may skip pulls it cannot touch).
+        Solo blocks only."""
         region = self.region()
         if region is None:
             return None
@@ -180,16 +198,15 @@ class ActivityGate:
 
     @property
     def count(self) -> int:
-        """Active voxels (the perf model's work unit)."""
-        if not self.enabled:
-            return int(np.prod(self.block.owned.shape))
+        """Active voxels, summed over members (the perf model's work unit)."""
         return self._count
 
     @property
     def mask(self) -> np.ndarray:
-        """Owned-shape boolean mask of the tracked active set."""
+        """Owned-shape boolean mask of the tracked active set (batch axes
+        first on a batched block: ``mask[b]`` is member ``b``'s)."""
         return self._mask
 
     def fraction(self) -> float:
         """Active fraction of the owned region."""
-        return self.count / int(np.prod(self.block.owned.shape))
+        return self.count / self._mask.size

@@ -1,10 +1,13 @@
 """The phase-pipeline StepEngine.
 
-One step loop for all three implementations: the engine owns the
-replicated scalar logic every driver used to duplicate (vascular-pool
-dynamics, the global extravasation-attempt schedule, the pool debit,
-StepStats assembly, the time series and per-step work records) and runs
-the backend's declared schedule phase by phase, timing each one.
+One step loop for every implementation: the engine owns the replicated
+scalar logic every driver used to duplicate (vascular-pool dynamics, the
+global extravasation-attempt schedule, the pool debit, StepStats
+assembly, the time series and per-step work records) and runs the
+backend's declared schedule phase by phase, timing each one.  A subclass
+replaces only the scalar work around the loop (:meth:`StepEngine._open_step`
+and :meth:`StepEngine._close_step`); the ensemble engine keeps that state
+per member.
 
 Drivers (`SequentialSimCov`, `SimCovCPU`, `SimCovGPU`) are thin
 configuration shims: they build a backend, hand it to a StepEngine, and
@@ -37,9 +40,10 @@ class StepContext:
     #: The global, decomposition-independent extravasation-attempt schedule.
     attempts: dict
     #: The vascular-pool value the attempt schedule was computed from
-    #: (post-update, pre-debit).  Remote backends publish it so detached
-    #: workers can recompute the identical schedule locally.
-    pool: float = 0.0
+    #: (post-update, pre-debit; per member on an ensemble).  Remote
+    #: backends publish it so detached workers can recompute the
+    #: identical schedule locally.
+    pool: float | np.ndarray = 0.0
     #: Set by the ``reduce`` phase: the REDUCED_FIELDS vector.
     reduced: np.ndarray | None = None
     #: Set by the ``reduce`` phase (or locally on one block): step totals.
@@ -126,19 +130,34 @@ class StepEngine:
 
     # -- driver --------------------------------------------------------------
 
-    def step(self) -> StepStats:
-        """Advance one timestep; returns (and records) the step's stats."""
+    def _open_step(self, t: int) -> StepContext:
+        """Vascular pool dynamics (replicated scalar state) + the global
+        attempt schedule every backend applies to the voxels it owns."""
         p = self.params
-        t = self.step_num
-
-        # Vascular pool dynamics (replicated scalar state) + the global
-        # attempt schedule every backend applies to the voxels it owns.
         if t >= p.tcell_initial_delay:
             self.pool += p.tcell_generation_rate
         self.pool -= self.pool / p.tcell_vascular_period
         attempts = kernels.extravasation_attempts(p, self.rng, t, self.pool)
+        return StepContext(step=t, attempts=attempts, pool=self.pool)
 
-        ctx = StepContext(step=t, attempts=attempts, pool=self.pool)
+    def _close_step(self, ctx: StepContext) -> StepStats:
+        """Pool debit + statistics assembly (identical on every substrate)."""
+        self.pool = max(0.0, self.pool - ctx.extravasations)
+        stats = StepStats.from_vector(
+            ctx.step,
+            ctx.reduced,
+            pool=self.pool,
+            extravasations=ctx.extravasations,
+            binds=ctx.binds,
+            moves=ctx.moves,
+        )
+        self.series.append(stats)
+        return stats
+
+    def step(self) -> StepStats:
+        """Advance one timestep; returns (and records) the step's stats."""
+        t = self.step_num
+        ctx = self._open_step(t)
         self.backend.begin_step(ctx)
 
         tracer = self.tracer
@@ -179,17 +198,7 @@ class StepEngine:
                 "ctx.reduced"
             )
 
-        # Pool debit + statistics assembly (identical on every substrate).
-        self.pool = max(0.0, self.pool - ctx.extravasations)
-        stats = StepStats.from_vector(
-            t,
-            ctx.reduced,
-            pool=self.pool,
-            extravasations=ctx.extravasations,
-            binds=ctx.binds,
-            moves=ctx.moves,
-        )
-        self.series.append(stats)
+        stats = self._close_step(ctx)
         record = {"step": t, "phase_seconds": phase_seconds}
         record.update(self.backend.step_record(ctx))
         if "active_voxels" in record:

@@ -146,15 +146,20 @@ class TileGrid:
         owned + 2*ghost) in multi-block runs: ghost activity then raw-
         activates the adjacent boundary tile, so activity entering from a
         neighbor device gets the same dilation buffer as local activity.
-        Returns the number of voxels scanned.
+
+        Leading axes in front of the spatial ones (an ensemble's batch
+        axis) are independent grids: each slice along them is swept
+        exactly as a mask of its own, and ``active`` gains the same
+        leading axes.  Returns the number of voxels scanned per grid.
         """
+        spatial = activity_mask.shape[activity_mask.ndim - self.ndim:]
         if padded:
             expect = tuple(s + 2 * self.ghost for s in self.owned_shape)
-            if activity_mask.shape != expect:
+            if spatial != expect:
                 raise ValueError(
                     f"padded mask shape {activity_mask.shape} != {expect}"
                 )
-        elif activity_mask.shape != self.owned_shape:
+        elif spatial != self.owned_shape:
             raise ValueError(
                 f"mask shape {activity_mask.shape} != owned {self.owned_shape}"
             )
@@ -164,12 +169,12 @@ class TileGrid:
             # equivalently, dilate the padded mask by one voxel and reduce
             # over the tile proper.
             g = self.ghost
-            crop = tuple(slice(g, g + s) for s in self.owned_shape)
-            mask = _dilate(activity_mask)[crop]
+            crop = (...,) + tuple(slice(g, g + s) for s in self.owned_shape)
+            mask = _dilate(activity_mask, self.ndim)[crop]
         else:
             mask = activity_mask
         raw = _tile_any(mask, self.tile_shape, self.tiles_per_dim)
-        self.active = _dilate(raw)
+        self.active = _dilate(raw, self.ndim)
         self._pin_boundary_tiles()
         return int(np.prod(self.owned_shape))
 
@@ -177,25 +182,28 @@ class TileGrid:
         self.active[...] = True
 
     def voxel_mask(self) -> np.ndarray:
-        """Per-voxel boolean mask of active-tile membership (owned shape)."""
+        """Per-voxel boolean mask of active-tile membership (owned shape,
+        after any leading axes ``active`` carries)."""
         mask = self.active
         for d, t in enumerate(self.tile_shape):
-            mask = mask.repeat(t, axis=d)
-        return mask[tuple(slice(0, s) for s in self.owned_shape)].copy()
+            mask = mask.repeat(t, axis=d - self.ndim)
+        return mask[(...,) + tuple(slice(0, s) for s in self.owned_shape)].copy()
 
     def max_sweep_period(self) -> int:
         """Longest sound sweep period: the smallest tile side (§3.2)."""
         return int(min(self.tile_shape))
 
 
-def _dilate(mask: np.ndarray) -> np.ndarray:
+def _dilate(mask: np.ndarray, ndim: int | None = None) -> np.ndarray:
     """Moore-neighborhood binary dilation by one cell (no scipy dependency).
 
     Box dilation is separable: dilating by one along each axis in turn
     equals the full Moore dilation, at 2·ndim shifted ORs instead of
-    3**ndim - 1."""
+    3**ndim - 1.  ``ndim`` limits the dilation to that many trailing
+    axes (default: all), so activity never leaks along a batch axis."""
     out = mask.copy()
-    for d in range(mask.ndim):
+    first = 0 if ndim is None else mask.ndim - ndim
+    for d in range(first, mask.ndim):
         if mask.shape[d] < 2:
             continue
         prev = out.copy()
@@ -208,15 +216,17 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 
 def _tile_any(mask: np.ndarray, tile_shape, tiles_per_dim) -> np.ndarray:
-    """Per-tile ``any`` reduction of an owned-shape mask (ragged edge tiles
-    padded with False so the array reshapes into (tiles, tile, ...) blocks)."""
-    full_shape = tuple(n * t for n, t in zip(tiles_per_dim, tile_shape))
+    """Per-tile ``any`` reduction over the trailing owned-shape axes of a
+    mask (ragged edge tiles padded with False so the array reshapes into
+    (tiles, tile, ...) blocks); leading axes pass through."""
+    lead = mask.shape[: mask.ndim - len(tile_shape)]
+    full_shape = lead + tuple(n * t for n, t in zip(tiles_per_dim, tile_shape))
     if full_shape != mask.shape:
         full = np.zeros(full_shape, dtype=bool)
         full[tuple(slice(0, s) for s in mask.shape)] = mask
         mask = full
-    blocked: list[int] = []
+    blocked = list(lead)
     for n, t in zip(tiles_per_dim, tile_shape):
         blocked += [n, t]
-    axes = tuple(range(1, 2 * len(tile_shape), 2))
+    axes = tuple(range(len(lead) + 1, len(blocked), 2))
     return mask.reshape(blocked).any(axis=axes)

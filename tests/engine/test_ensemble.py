@@ -166,7 +166,7 @@ class TestEnsembleGate:
         assert region[0] == slice(0, 3)
         g = ens.block.ghost
         for b in range(3):
-            mask = ens.gate.member_mask(b)
+            mask = ens.gate.mask[b]
             idx = np.nonzero(mask)
             for axis, coords in enumerate(idx):
                 if coords.size == 0:
@@ -178,7 +178,8 @@ class TestEnsembleGate:
     def test_member_counts_sum_to_count(self):
         ens = EnsembleSimCov(_params(steps=40), seeds=[0, 1])
         ens.run(40)
-        assert ens.gate.count == int(ens.gate.member_counts.sum())
+        per_member = ens.gate.mask.reshape(2, -1).sum(axis=1)
+        assert ens.gate.count == int(per_member.sum())
 
     def test_sweep_period_validated(self):
         with pytest.raises(ValueError, match="sweep_period"):
@@ -199,22 +200,25 @@ class TestEnsembleKernels:
         rng = EnsembleRNG(seeds)
         pools = np.array([37.2, 5.9])
         stack = ParamsStack([p, p])
-        flat = kernels.ensemble_extravasation_attempts(stack, rng, 12, pools)
-        assert flat["gid"].size == int(flat["counts"].sum())
+        flat = kernels.extravasation_attempts(stack, rng, 12, pools)
+        counts = flat["counts"]
+        assert flat["gid"].size == int(counts.sum())
+        stops = np.cumsum(counts)
         for b in range(2):
             solo = kernels.extravasation_attempts(
                 p, VoxelRNG(int(seeds[b])), 12, float(pools[b])
             )
-            mine = kernels.member_attempts(flat, b)
+            mine = slice(stops[b] - counts[b], stops[b])
+            assert (flat["member"][mine] == b).all()
             for key in ("gid", "accept_u", "life"):
-                np.testing.assert_array_equal(mine[key], solo[key], err_msg=key)
+                np.testing.assert_array_equal(
+                    flat[key][mine], solo[key], err_msg=key
+                )
 
     def test_attempt_schedule_empty_pools(self):
         rng = EnsembleRNG(np.array([1, 2], dtype=np.int64))
         stack = ParamsStack([_params(), _params()])
-        flat = kernels.ensemble_extravasation_attempts(
-            stack, rng, 0, np.zeros(2)
-        )
+        flat = kernels.extravasation_attempts(stack, rng, 0, np.zeros(2))
         assert flat["gid"].size == 0
         assert list(flat["counts"]) == [0, 0]
 

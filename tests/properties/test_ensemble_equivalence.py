@@ -1,9 +1,11 @@
 """Property test: batching N runs never changes any of them.
 
-For randomized small parameterizations, batch sizes, seeds and sweep
-values, every member of a batched :class:`EnsembleSimCov` run must be
-**bitwise identical** to the solo sequential run with the same
-(params, seed) — same voxel state and same time series at every step.
+For randomized small 2D and 3D parameterizations, batch sizes, seeds,
+sweep values and activity-gate settings (tile shape, sweep period,
+gating on/off), every member of a batched :class:`EnsembleSimCov` run
+must be **bitwise identical** to the solo sequential run with the same
+(params, seed, gate settings) — same voxel state and same time series,
+and the same gate mask after every step.
 This is the contract that lets the ensemble backend exist: randomness is
 keyed ``(member_seed, stream, step, voxel)``, elementwise double/int ops
 are batch-invariant, and the union gate region is a bitwise-invisible
@@ -18,7 +20,7 @@ from repro.core.params import SimCovParams
 from repro.engine.ensemble import EnsembleSimCov, expand_sweep
 
 SLOW = settings(
-    max_examples=8,
+    max_examples=12,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -37,10 +39,14 @@ STEPS = 25
 
 
 def _random_params(draw):
-    side = draw(st.integers(min_value=10, max_value=20))
+    ndim = draw(st.sampled_from([2, 3]))
+    side = draw(
+        st.integers(min_value=10, max_value=20) if ndim == 2
+        else st.integers(min_value=6, max_value=9)
+    )
     foi = draw(st.integers(min_value=0, max_value=3))
     return SimCovParams.fast_test(
-        dim=(side, side), num_infections=foi, num_steps=STEPS,
+        dim=(side,) * ndim, num_infections=foi, num_steps=STEPS,
     ).with_(
         infectivity=draw(st.floats(min_value=0.0, max_value=1.0)),
         tcell_initial_delay=draw(st.integers(min_value=0, max_value=15)),
@@ -49,13 +55,36 @@ def _random_params(draw):
     )
 
 
-def _assert_batched_matches_solo(members, seeds):
-    ens = EnsembleSimCov(members, seeds=seeds)
-    ens.run(STEPS)
-    for b, seed in enumerate(seeds):
-        p = members[b] if isinstance(members, list) else members
-        solo = SequentialSimCov(p, seed=int(seed))
-        solo.run(STEPS)
+def _random_gate(draw, dim):
+    """Gate settings shared by the batched run and its solo references:
+    tile shape, sweep period (default, 1 = refresh mode, or 2) and
+    gating on/off."""
+    return {
+        "active_gating": draw(st.booleans()),
+        "tile_shape": tuple(
+            draw(st.integers(min_value=2, max_value=min(8, s))) for s in dim
+        ),
+        "sweep_period": draw(st.sampled_from([None, 1, 2])),
+    }
+
+
+def _assert_batched_matches_solo(members, seeds, gate):
+    ens = EnsembleSimCov(members, seeds=seeds, **gate)
+    solos = [
+        SequentialSimCov(
+            members[b] if isinstance(members, list) else members,
+            seed=int(seed), **gate,
+        )
+        for b, seed in enumerate(seeds)
+    ]
+    for step in range(STEPS):
+        ens.step()
+        for b, solo in enumerate(solos):
+            solo.step()
+            assert np.array_equal(ens.gate.mask[b], solo.gate.mask), (
+                f"member {b} gate mask diverged at step {step}"
+            )
+    for b, solo in enumerate(solos):
         for f in SERIES_FIELDS:
             assert np.array_equal(
                 ens.member_series[b].field(f), solo.series.field(f)
@@ -78,7 +107,7 @@ class TestEnsembleEquivalence:
                 min_size=batch, max_size=batch, unique=True,
             )
         )
-        _assert_batched_matches_solo(p, seeds)
+        _assert_batched_matches_solo(p, seeds, _random_gate(data.draw, p.dim))
 
     @given(data=st.data(), seed=st.integers(min_value=0, max_value=10_000))
     @SLOW
@@ -98,4 +127,6 @@ class TestEnsembleEquivalence:
         )
         values = data.draw(st.lists(value_st, min_size=2, max_size=3))
         members = expand_sweep(p, key, values)
-        _assert_batched_matches_solo(members, [seed] * len(members))
+        _assert_batched_matches_solo(
+            members, [seed] * len(members), _random_gate(data.draw, p.dim)
+        )
